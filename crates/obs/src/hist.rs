@@ -97,13 +97,23 @@ impl Histogram {
     }
 }
 
-/// Latency of `/forecast` requests, accept to last response byte queued.
+// The four latency histograms below time the server's route handler only:
+// from a request fully framed off the socket to its response document
+// built. Reading the request, rendering the body and writing the response
+// fall outside, so client-side latency minus these is the time spent
+// outside the route.
+
+/// Route time of `/forecast` requests: JSON parse and validation, queue
+/// wait, batch compute and building the response document.
 pub static SERVE_FORECAST_LATENCY: Histogram = Histogram::new("serve.forecast.latency_ns");
-/// Latency of `/observe` requests.
+/// Route time of `/observe` requests: JSON parse, the tenant append and
+/// building the response document.
 pub static SERVE_OBSERVE_LATENCY: Histogram = Histogram::new("serve.observe.latency_ns");
-/// Latency of `/metrics` and `/healthz` requests.
+/// Route time of `/metrics` and `/healthz` requests: the snapshot and
+/// building the response document.
 pub static SERVE_METRICS_LATENCY: Histogram = Histogram::new("serve.metrics.latency_ns");
-/// Latency of `/admin/*` requests (model activation).
+/// Route time of `/admin/*` requests: JSON parse, the staged registry load
+/// and swap, and building the response document.
 pub static SERVE_ADMIN_LATENCY: Histogram = Histogram::new("serve.admin.latency_ns");
 /// Requests fused into each executed micro-batch (occupancy, not ns).
 pub static SERVE_BATCH_OCCUPANCY: Histogram = Histogram::new("serve.batch.occupancy");

@@ -9,7 +9,7 @@
 //! escapes, finite numbers, booleans, null) and keeps object keys in
 //! insertion order so emitted files are stable and diffable.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser. The parser is
 /// recursive-descent, and `/metrics`-adjacent callers feed it untrusted
@@ -96,69 +96,54 @@ impl Json {
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
+    /// Renders on one line with no whitespace: the form the server sends.
+    pub fn render_compact(&self) -> String {
+        let mut out = String::new();
+        self.write_compact(&mut out);
+        out
+    }
+
+    /// Appends the compact form (see [`Json::render_compact`]) to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None);
+    }
+
+    /// The one writer behind both forms: `indent` is the nesting depth
+    /// when pretty-printing, `None` for compact output. Writing to a
+    /// `String` cannot fail, so the `fmt::Result`s are ignored.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(v) => {
                 // Integers print without a fractional part; everything else
-                // with enough digits to round-trip comparisons in tests.
+                // as the shortest f64 that parses back to the same f64. The
+                // server widens each f32 forecast value to f64 first rather
+                // than printing the shortest f32: an exhaustive check of all
+                // finite f32 values found that the shortest-f32 text of
+                // exactly ±f32::from_bits(0x15ae43fd) (7.038531e-26) parses
+                // to an f64 that rounds to a different f32, and every client
+                // (the tests, the bench) reads numbers as f64 then casts.
                 if v.fract() == 0.0 && v.abs() < 1e15 {
-                    out.push_str(&format!("{}", *v as i64));
+                    let _ = write!(out, "{}", *v as i64);
                 } else {
-                    out.push_str(&format!("{v}"));
+                    let _ = write!(out, "{v}");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&pad);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    out.push_str(&format!("\"{k}\": "));
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&pad);
-                out.push('}');
-            }
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_seq(out, indent, ['[', ']'], items, |out, item, inner| {
+                item.write(out, inner);
+            }),
+            Json::Obj(pairs) => write_seq(out, indent, ['{', '}'], pairs, |out, (k, v), inner| {
+                write_str(out, k);
+                out.push_str(if inner.is_some() { ": " } else { ":" });
+                v.write(out, inner);
+            }),
         }
     }
 
@@ -178,6 +163,58 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes an array or object: `brackets` around `items`, comma-separated,
+/// each item on its own line one level deeper when pretty-printing.
+fn write_seq<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: [char; 2],
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T, Option<usize>),
+) {
+    out.push(brackets[0]);
+    let inner = indent.map(|depth| depth + 1);
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline(out, inner);
+        item(out, it, inner);
+    }
+    if !items.is_empty() {
+        newline(out, indent);
+    }
+    out.push(brackets[1]);
+}
+
+/// A line break plus `depth` levels of two-space padding; nothing when
+/// writing compact output.
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -446,6 +483,44 @@ mod tests {
             let parsed = Json::parse(&doc.render()).expect("parse");
             let back = parsed.as_num().expect("num") as f32;
             assert_eq!(back.to_bits(), bits, "f32 {v} must survive the trip");
+        }
+    }
+
+    #[test]
+    fn compact_form_has_no_whitespace_and_parses_back() {
+        let doc = Json::obj(vec![
+            (
+                "a",
+                Json::Arr(vec![Json::num(1.0), Json::num(-0.5), Json::Null]),
+            ),
+            (
+                "b",
+                Json::obj(vec![("c d", Json::str("x\ty")), ("e", Json::Bool(false))]),
+            ),
+            ("f", Json::Arr(vec![])),
+            ("g", Json::Obj(vec![])),
+        ]);
+        let text = doc.render_compact();
+        assert_eq!(
+            text,
+            r#"{"a":[1,-0.5,null],"b":{"c d":"x\ty","e":false},"f":[],"g":{}}"#
+        );
+        assert_eq!(Json::parse(&text).expect("parse"), doc);
+        let mut appended = String::from("prefix ");
+        doc.write_compact(&mut appended);
+        assert_eq!(appended, format!("prefix {text}"));
+    }
+
+    #[test]
+    fn pretty_render_of_committed_files_is_byte_identical() {
+        // Both files were written by the pretty printer; re-rendering their
+        // parse must reproduce them exactly.
+        for text in [
+            include_str!("../../../BENCH_1786121401.json"),
+            include_str!("../../../tests/fixtures/golden_trace.json"),
+        ] {
+            let doc = Json::parse(text).expect("parse");
+            assert!(doc.render() == text, "pretty render drifted from the file");
         }
     }
 

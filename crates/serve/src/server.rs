@@ -24,8 +24,8 @@ use timekd_obs::{
     SERVE_METRICS_LATENCY, SERVE_OBSERVE_LATENCY, SERVE_REQUESTS, SERVE_SWAPS, SERVE_SWAP_REJECTS,
 };
 
-use crate::batch::{batcher_thread, ForecastJob};
-use crate::http::{read_request, write_response, ReadOutcome, Request};
+use crate::batch::{batcher_thread, ForecastJob, ForecastReply};
+use crate::http::{Connection, ReadOutcome, Request};
 use crate::registry::{self, LoadedModel, RegistryError};
 use crate::tenants::TenantCache;
 
@@ -181,16 +181,15 @@ impl Server {
         let dispatch_shared = shared.clone();
         let dispatch = thread::spawn(move || {
             let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-            for mut stream in conn_rx {
+            for stream in conn_rx {
                 handlers.retain(|h| !h.is_finished());
                 if handlers.len() >= dispatch_shared.max_connections {
                     // Shed load instead of spawning unboundedly: answer 503
                     // and close so the client can back off and retry.
                     SERVE_ERRORS.add(1);
-                    let _ = write_response(
-                        &mut stream,
+                    let _ = Connection::new(stream).write_response(
                         503,
-                        &err_body("server at connection capacity").render(),
+                        &err_body("server at connection capacity"),
                         false,
                     );
                     continue;
@@ -288,15 +287,12 @@ fn latency_histogram(path: &str) -> Option<&'static Histogram> {
     }
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    jobs: &mpsc::Sender<ForecastJob>,
-) {
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, jobs: &mpsc::Sender<ForecastJob>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(shared.read_timeout_ms)));
     let _ = stream.set_nodelay(true);
+    let mut conn = Connection::new(stream);
     loop {
-        match read_request(&mut stream, shared.max_body_bytes) {
+        match conn.read_request(shared.max_body_bytes) {
             ReadOutcome::Idle => {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
@@ -306,7 +302,7 @@ fn handle_connection(
             ReadOutcome::Malformed(msg) => {
                 SERVE_REQUESTS.add(1);
                 SERVE_ERRORS.add(1);
-                let _ = write_response(&mut stream, 400, &err_body(msg).render(), false);
+                let _ = conn.write_response(400, &err_body(msg), false);
                 return;
             }
             ReadOutcome::TooLarge {
@@ -321,7 +317,7 @@ fn handle_connection(
                     "body of {declared} bytes exceeds the {} byte limit",
                     shared.max_body_bytes
                 );
-                let _ = write_response(&mut stream, 413, &err_body(msg).render(), keep);
+                let _ = conn.write_response(413, &err_body(msg), keep);
                 if !keep {
                     return;
                 }
@@ -337,7 +333,7 @@ fn handle_connection(
                     hist.record(now_ns().saturating_sub(started).max(1));
                 }
                 let keep = req.keep_alive && !shared.shutdown.load(Ordering::Relaxed);
-                if write_response(&mut stream, status, &body.render(), keep).is_err() || !keep {
+                if conn.write_response(status, &body, keep).is_err() || !keep {
                     return;
                 }
             }
@@ -442,24 +438,28 @@ fn forecast(shared: &Shared, jobs: &mpsc::Sender<ForecastJob>, body: &[u8]) -> (
                     )),
                 );
             }
-            let rows: Vec<Json> = reply
-                .values
-                .chunks(reply.num_vars.max(1))
-                .map(|row| Json::Arr(row.iter().map(|&v| Json::num(v as f64)).collect()))
-                .collect();
-            (
-                200,
-                Json::obj(vec![
-                    ("version", Json::num(reply.version as f64)),
-                    ("horizon", Json::num(reply.horizon as f64)),
-                    ("num_vars", Json::num(reply.num_vars as f64)),
-                    ("forecast", Json::Arr(rows)),
-                ]),
-            )
+            (200, forecast_json(&reply))
         }
         Ok(Err(msg)) => (400, err_body(msg)),
         Err(_) => (503, err_body("batcher dropped the request")),
     }
+}
+
+/// The `/forecast` response. Each f32 is widened to f64 and printed as
+/// the shortest f64 (see `Json::write`), so a client's f64 parse and f32
+/// cast restore its bits; `-0.0` reads back as `0`.
+fn forecast_json(reply: &ForecastReply) -> Json {
+    let rows: Vec<Json> = reply
+        .values
+        .chunks(reply.num_vars.max(1))
+        .map(|row| Json::Arr(row.iter().map(|&v| Json::num(v as f64)).collect()))
+        .collect();
+    Json::obj(vec![
+        ("version", Json::num(reply.version as f64)),
+        ("horizon", Json::num(reply.horizon as f64)),
+        ("num_vars", Json::num(reply.num_vars as f64)),
+        ("forecast", Json::Arr(rows)),
+    ])
 }
 
 fn parse_rows(rows: &[Json]) -> Result<Vec<Vec<f32>>, String> {
@@ -581,4 +581,45 @@ fn healthz(shared: &Shared) -> (u16, Json) {
             ("version", Json::num(shared.current().version() as f64)),
         ]),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn forecast_values_survive_the_compact_body_bit_for_bit() {
+        // ±0x15ae43fd is the one finite f32 pair whose shortest-f32 text
+        // double-rounds to a different f32 through an f64 parse.
+        let tricky = f32::from_bits(0x15ae_43fd);
+        assert_ne!(
+            (format!("{tricky}").parse::<f64>().expect("parse") as f32).to_bits(),
+            tricky.to_bits(),
+            "shortest-f32 output is the case the f64 widening guards"
+        );
+        let values = vec![tricky, -tricky, f32::from_bits(1), f32::MAX, f32::MIN, -0.0];
+        let reply = ForecastReply {
+            version: 3,
+            horizon: 3,
+            num_vars: 2,
+            values: values.clone(),
+        };
+        let text = forecast_json(&reply).render_compact();
+        assert!(text.contains(",0]"), "zero is written as `0`: {text}");
+        let doc = Json::parse(&text).expect("parse");
+        let got: Vec<u32> = doc
+            .get("forecast")
+            .and_then(Json::as_arr)
+            .expect("rows")
+            .iter()
+            .flat_map(|row| row.as_arr().expect("row"))
+            .map(|cell| (cell.as_num().expect("number") as f32).to_bits())
+            .collect();
+        // JSON has no negative zero: -0.0 reads back as +0.0.
+        let want: Vec<u32> = values
+            .iter()
+            .map(|&v| if v == 0.0 { 0 } else { v.to_bits() })
+            .collect();
+        assert_eq!(got, want);
+    }
 }

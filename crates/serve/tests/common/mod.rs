@@ -101,10 +101,7 @@ impl Response {
 pub fn request_on(stream: &mut TcpStream, method: &str, path: &str, body: &str) -> Response {
     // Single write: separate head/body segments would hit Nagle +
     // delayed-ACK stalls on loopback.
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
+    let request = raw_request(method, path, body);
     stream.write_all(request.as_bytes()).expect("write request");
     stream.flush().expect("flush");
     read_response(stream)
@@ -116,7 +113,16 @@ pub fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str)
     request_on(&mut stream, method, path, body)
 }
 
-fn read_response(stream: &mut TcpStream) -> Response {
+/// One request's bytes: head and body, ready for a single write.
+pub fn raw_request(method: &str, path: &str, body: &str) -> String {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// Reads one response off the stream.
+pub fn read_response(stream: &mut TcpStream) -> Response {
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     while !head.ends_with(b"\r\n\r\n") {

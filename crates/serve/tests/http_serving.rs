@@ -4,7 +4,7 @@
 
 mod common;
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -52,6 +52,83 @@ fn served_forecast_is_bitwise_identical_to_planned_student() {
         reference,
         "served forecast must match PlannedStudent::predict bit for bit"
     );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn pipelined_requests_get_in_order_bitwise_responses_on_one_connection() {
+    let _serial = common::serial();
+    let root = temp_registry("pipelined");
+    let student = publish_version(&root, 1, 52, Precision::F32);
+    let server = Server::start(ServeConfig::new(&root)).expect("start");
+    let mut planned = PlannedStudent::new(&student, &tiny_config()).expect("planned");
+
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    for n in [2u64, 3] {
+        // n forecasts for distinct windows, all sent in one write.
+        let windows: Vec<_> = (0..n).map(|k| demo_window(60 + 10 * n + k)).collect();
+        let raw: String = windows
+            .iter()
+            .map(|w| raw_request("POST", "/forecast", &forecast_body(w)))
+            .collect();
+        conn.write_all(raw.as_bytes())
+            .expect("write pipelined requests");
+        for window in &windows {
+            let resp = read_response(&mut conn);
+            assert_eq!(resp.status, 200, "{}", resp.body);
+            assert_eq!(
+                forecast_bits(&resp.json()),
+                tensor_bits(&planned.predict(&window_tensor(window))),
+                "pipelined responses must come back in request order"
+            );
+        }
+    }
+
+    // An observe and the tenant forecast that reads it, pipelined: the
+    // forecast must see the observed rows.
+    let window = demo_window(77);
+    let observe = Json::obj(vec![
+        ("tenant", Json::str("pipe")),
+        ("rows", rows_json(&window)),
+    ]);
+    let raw = raw_request("POST", "/observe", &observe.render())
+        + &raw_request("POST", "/forecast", r#"{"tenant": "pipe"}"#);
+    conn.write_all(raw.as_bytes())
+        .expect("write pipelined requests");
+    assert_eq!(read_response(&mut conn).status, 200);
+    let resp = read_response(&mut conn);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(
+        forecast_bits(&resp.json()),
+        tensor_bits(&planned.predict(&window_tensor(&window)))
+    );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn request_sent_one_byte_per_write_is_served() {
+    let _serial = common::serial();
+    let root = temp_registry("bytewise");
+    let student = publish_version(&root, 1, 53, Precision::F32);
+    let server = Server::start(ServeConfig::new(&root)).expect("start");
+    let mut planned = PlannedStudent::new(&student, &tiny_config()).expect("planned");
+
+    let window = demo_window(5);
+    let mut conn = TcpStream::connect(server.addr()).expect("connect");
+    conn.set_nodelay(true).expect("nodelay");
+    for b in raw_request("POST", "/forecast", &forecast_body(&window)).as_bytes() {
+        conn.write_all(std::slice::from_ref(b)).expect("write");
+    }
+    let resp = read_response(&mut conn);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(
+        forecast_bits(&resp.json()),
+        tensor_bits(&planned.predict(&window_tensor(&window)))
+    );
+
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -47,6 +47,9 @@ echo "==> serving integration suite (bitwise parity, hot-swap under load, regist
 cargo test -q -p timekd-serve --test http_serving
 cargo test -q -p timekd-serve --test registry_faults
 
+echo "==> benchmark unit tests (output checks that reject a flipped forecast bit)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> tensor tests under the scalar fallback (TIMEKD_SIMD=off)"
 # The f32x8 microkernels ship with a scalar fallback pinned to its own
 # reduction order; run the tensor suite once in that mode so the fallback

@@ -23,6 +23,7 @@
 //! the span/op structure is what the suite guards.
 
 use std::rc::Rc;
+use std::sync::Mutex;
 
 use timekd::{Forecaster, TimeKd, TimeKdConfig};
 use timekd_bench::Json;
@@ -82,6 +83,12 @@ fn span_fixture(node: &SpanNode) -> Json {
 /// Runs the deterministic golden workload and reduces the recorded trace
 /// to its structural fixture form.
 fn golden_run() -> Json {
+    // The obs gate and span trie are process-global and both tests here
+    // record through them: a run that overlaps another (its model build
+    // included) records into, or resets, the other's trace. Serialise
+    // the runs until tracing records into a per-call capture instead.
+    static RUN: Mutex<()> = Mutex::new(());
+    let _serial = RUN.lock().unwrap_or_else(|p| p.into_inner());
     let (mut model, ds) = tiny_model();
     let train: Vec<_> = ds.windows(Split::Train, 16);
     let windows = &train[..2];

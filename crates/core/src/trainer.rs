@@ -1,6 +1,9 @@
 //! TimeKD end-to-end: teacher + student + PKD, jointly optimised per
 //! Eq. 30 and Algorithms 1–2.
 
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use timekd_data::{ForecastWindow, WindowPrompts};
@@ -20,7 +23,7 @@ use crate::teacher::{render_prompts, CrossModalityTeacher};
 pub struct EpochStats {
     /// Mean total loss (Eq. 30).
     pub total: f32,
-    /// Mean reconstruction loss `L_recon`.
+    /// Mean reconstruction loss `L_recon`, unscaled by `λ_recon`.
     pub reconstruction: f32,
     /// Mean correlation distillation loss `L_cd`.
     pub correlation: f32,
@@ -45,6 +48,121 @@ pub struct TimeKd {
     /// student epoch and reused for every following one (it owns the
     /// fused AdamW moment state, so it must survive across epochs).
     planned: Option<PlannedBatchTrainer>,
+    /// The teacher's distillation targets, stored per window by the
+    /// planned student epoch.
+    targets: TeacherTargets,
+}
+
+/// The frozen teacher's distillation targets, stored per training window:
+/// the teacher's outputs are *stored* privileged information (§IV-B2), so
+/// a student epoch after the first stages them instead of re-rendering the
+/// prompts and re-running the teacher.
+///
+/// An entry is served only while both of these hold:
+/// - every trainable teacher parameter is bitwise equal to the snapshot
+///   taken when the store was filled. The check runs at the start of each
+///   epoch rather than in a `&mut` hook, because [`load_checkpoint`]
+///   writes teacher weights through `&TimeKd`;
+/// - the window's `x` and `y` are bitwise equal to the stored copy. A
+///   digest finds the entry and a full compare decides the hit, as in
+///   [`FrozenLm::embed`].
+///
+/// Entries an epoch did not touch are dropped when it ends, so the store
+/// never holds more than one epoch's windows: per window `N² + N·D` target
+/// floats plus `(L + M)·N` key floats. The frozen LM is assumed immutable,
+/// as its embedding cache already assumes.
+///
+/// [`load_checkpoint`]: crate::load_checkpoint
+#[derive(Default)]
+struct TeacherTargets {
+    /// Every trainable teacher parameter, concatenated, when filled.
+    teacher: Vec<f32>,
+    entries: HashMap<u64, TargetEntry>,
+    /// The current epoch; entries stamped with an older one are evicted.
+    epoch: u64,
+    hits: u64,
+    misses: u64,
+}
+
+struct TargetEntry {
+    x: Vec<f32>,
+    y: Vec<f32>,
+    attention: Tensor,
+    embedding: Tensor,
+    epoch: u64,
+}
+
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+fn window_digest(x: &[f32], y: &[f32]) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.len().hash(&mut h);
+    for v in x.iter().chain(y) {
+        v.to_bits().hash(&mut h);
+    }
+    h.finish()
+}
+
+impl TeacherTargets {
+    /// Opens an epoch, dropping every entry if a teacher parameter changed
+    /// since the store was filled.
+    fn begin_epoch(&mut self, teacher: &[Tensor]) {
+        self.epoch += 1;
+        let mut off = 0;
+        let unchanged = teacher.iter().all(|p| {
+            let data = p.data();
+            let end = off + data.len();
+            let same = self
+                .teacher
+                .get(off..end)
+                .is_some_and(|s| same_bits(s, &data));
+            off = end;
+            same
+        }) && off == self.teacher.len();
+        if !unchanged {
+            self.entries.clear();
+            self.teacher = teacher.iter().flat_map(|p| p.to_vec()).collect();
+        }
+    }
+
+    /// The targets of window `(x, y)`: stored ones on a hit, otherwise
+    /// `teacher()`'s `(attention, embedding)`, which are then stored.
+    fn get(
+        &mut self,
+        x: &Tensor,
+        y: &Tensor,
+        teacher: impl FnOnce() -> (Tensor, Tensor),
+    ) -> &TargetEntry {
+        let (x, y) = (x.data(), y.data());
+        let entry = match self.entries.entry(window_digest(&x, &y)) {
+            Entry::Occupied(e) if same_bits(&e.get().x, &x) && same_bits(&e.get().y, &y) => {
+                self.hits += 1;
+                e.into_mut()
+            }
+            slot => {
+                self.misses += 1;
+                let (attention, embedding) = teacher();
+                slot.insert_entry(TargetEntry {
+                    x: x.to_vec(),
+                    y: y.to_vec(),
+                    attention,
+                    embedding,
+                    epoch: 0,
+                })
+                .into_mut()
+            }
+        };
+        entry.epoch = self.epoch;
+        entry
+    }
+
+    /// Closes the epoch, dropping every entry it did not touch.
+    fn end_epoch(&mut self) {
+        let epoch = self.epoch;
+        self.entries.retain(|_, e| e.epoch == epoch);
+    }
 }
 
 impl TimeKd {
@@ -96,6 +214,7 @@ impl TimeKd {
             optimizer,
             warmup_done: false,
             planned: None,
+            targets: TeacherTargets::default(),
         }
     }
 
@@ -117,6 +236,12 @@ impl TimeKd {
     /// The prompt tokenizer.
     pub fn tokenizer(&self) -> &PromptTokenizer {
         &self.tokenizer
+    }
+
+    /// (hits, misses) of the stored teacher targets so far: each planned
+    /// student epoch counts one per window.
+    pub fn teacher_target_stats(&self) -> (u64, u64) {
+        (self.targets.hits, self.targets.misses)
     }
 
     fn prompts_for(&self, w: &ForecastWindow) -> WindowPrompts {
@@ -162,7 +287,8 @@ impl TimeKd {
     }
 
     /// **Algorithm 1**: one pass training the cross-modality teacher on
-    /// the reconstruction objective (Eq. 16). Returns the mean `L_recon`.
+    /// the reconstruction objective (Eq. 16), scaled by `λ_recon`. Returns
+    /// the mean unscaled `L_recon`.
     pub fn train_teacher_epoch(&mut self, windows: &[ForecastWindow]) -> f32 {
         let _span = timekd_obs::span("epoch.teacher");
         assert!(!windows.is_empty(), "no training windows");
@@ -174,10 +300,9 @@ impl TimeKd {
             }
             let prompts = self.prompts_for(w);
             let out = self.teacher.forward(&w.x, &w.y, &prompts);
-            let recon =
-                smooth_l1_loss(&out.reconstruction, &w.y).mul_scalar(self.config.lambda_recon);
+            let recon = smooth_l1_loss(&out.reconstruction, &w.y);
             total += recon.item();
-            recon.backward();
+            recon.mul_scalar(self.config.lambda_recon).backward();
             self.assert_frozen_lm_invariant();
             clip_grad_norm(&params, self.config.grad_clip);
             self.apply_lr_schedule();
@@ -188,7 +313,9 @@ impl TimeKd {
 
     /// **Algorithm 2** + Eq. 29: one pass training the student on
     /// `λ_p·(λ_c·L_cd + λ_e·L_fd) + λ_f·L_fcst` against the (frozen for
-    /// this pass) teacher's privileged outputs.
+    /// this pass) teacher's privileged outputs. The teacher runs only for
+    /// windows whose targets are not stored yet, or whose stored targets a
+    /// changed teacher parameter or window tensor made stale.
     ///
     /// The whole step — forward, backward, gradient reduction, clipping,
     /// fused AdamW — replays a compiled batched training plan
@@ -236,12 +363,16 @@ impl TimeKd {
             feature: 0.0,
             forecast: 0.0,
         };
+        self.targets.begin_epoch(&self.teacher.params());
         for chunk in windows.chunks(batch) {
             let count = chunk.len();
             for (lane, w) in chunk.iter().enumerate() {
-                let prompts = self.prompts_for(w);
-                // Teacher provides targets only: no graph, no update.
-                let t_out = timekd_tensor::no_grad(|| self.teacher.forward(&w.x, &w.y, &prompts));
+                let t_out = self.targets.get(&w.x, &w.y, || {
+                    let prompts = render_prompts(&self.tokenizer, &w.x, &w.y, &self.config);
+                    // Teacher provides targets only: no graph, no update.
+                    let out = timekd_tensor::no_grad(|| self.teacher.forward(&w.x, &w.y, &prompts));
+                    (out.attention, out.embedding)
+                });
                 trainer.stage_window(lane, &w.x, &w.y);
                 let _stage = timekd_obs::span("pkd.stage");
                 trainer.stage_teacher(lane, &t_out.attention, &t_out.embedding);
@@ -263,6 +394,7 @@ impl TimeKd {
                 agg.forecast += trainer.lane_forecast(lane);
             }
         }
+        self.targets.end_epoch();
         trainer.write_back();
         self.planned = Some(trainer);
         let k = windows.len() as f32;
@@ -331,7 +463,8 @@ impl TimeKd {
 
     /// One full TimeKD epoch: teacher reconstruction pass (Alg. 1) then
     /// student distillation + forecasting pass (Alg. 2). Returns the loss
-    /// breakdown with the teacher's reconstruction loss included.
+    /// breakdown with the teacher's reconstruction loss included: unscaled
+    /// in `reconstruction`, as `λ_recon·L_recon` in `total`.
     pub fn train_epoch_detailed(&mut self, windows: &[ForecastWindow]) -> EpochStats {
         let recon = if !self.warmup_done {
             // Algorithm 1: train the teacher to convergence once. Its
@@ -637,6 +770,229 @@ mod tests {
         for threads in [2, 5] {
             assert_eq!(run(threads), baseline, "diverges at {threads} threads");
         }
+    }
+
+    /// A planned student epoch that recomputes every teacher target: the
+    /// store is emptied first, so each window misses.
+    fn recomputed_epoch(m: &mut TimeKd, windows: &[ForecastWindow]) -> EpochStats {
+        m.targets = TeacherTargets::default();
+        let stats = m.train_student_epoch(windows);
+        assert_eq!(m.teacher_target_stats(), (0, windows.len() as u64));
+        stats
+    }
+
+    /// Runs one planned epoch on `cached` and a recomputing one on its twin
+    /// `oracle`, requires bitwise equal stats and student parameters, and
+    /// returns the (hits, misses) `cached`'s epoch added.
+    fn epoch_against_recompute(
+        cached: &mut TimeKd,
+        oracle: &mut TimeKd,
+        windows: &[ForecastWindow],
+    ) -> (u64, u64) {
+        let (h0, m0) = cached.teacher_target_stats();
+        let stats = cached.train_student_epoch(windows);
+        let (h1, m1) = cached.teacher_target_stats();
+        assert_eq!(
+            epoch_bits(&stats),
+            epoch_bits(&recomputed_epoch(oracle, windows)),
+            "epoch stats diverge from a recompute"
+        );
+        assert_eq!(
+            student_param_bits(cached),
+            student_param_bits(oracle),
+            "student params diverge from a recompute"
+        );
+        (h1 - h0, m1 - m0)
+    }
+
+    #[test]
+    fn planned_epochs_with_stored_targets_are_bitwise_identical_to_oracle() {
+        // Three epochs, so the later two are served from the store. At
+        // micro_batch 1 the oracle is the dynamic per-window loop; at
+        // micro_batch 5 (a 5 + 2 tail) no dynamic loop steps per batch, so
+        // the oracle is the planned epoch recomputing every teacher target.
+        for micro_batch in [1, 5] {
+            for threads in [1, 2, 5] {
+                let (mut cached, ds) = tiny_model();
+                let (mut oracle, _) = tiny_model();
+                cached.config.micro_batch = micro_batch;
+                oracle.config.micro_batch = micro_batch;
+                let train: Vec<_> = ds.windows(Split::Train, 16);
+                let subset = &train[..7];
+                for epoch in 0..3 {
+                    let (stats, want) = timekd_tensor::parallel::with_threads(threads, || {
+                        let stats = cached.train_student_epoch(subset);
+                        let want = if micro_batch == 1 {
+                            oracle.train_student_epoch_dynamic(subset)
+                        } else {
+                            recomputed_epoch(&mut oracle, subset)
+                        };
+                        (stats, want)
+                    });
+                    let at = format!("epoch {epoch}, micro_batch {micro_batch}, {threads} threads");
+                    assert_eq!(epoch_bits(&stats), epoch_bits(&want), "stats: {at}");
+                    assert_eq!(
+                        student_param_bits(&cached),
+                        student_param_bits(&oracle),
+                        "params: {at}"
+                    );
+                }
+                assert_eq!(cached.teacher_target_stats(), (14, 7));
+            }
+        }
+    }
+
+    #[test]
+    fn teacher_targets_stored_once() {
+        let (mut model, ds) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 64);
+        let subset = &train[..3];
+        model.train_student_epoch(subset);
+        assert_eq!(model.teacher_target_stats(), (0, 3));
+        let lm_misses = model.teacher().frozen_lm().cache_stats();
+        model.train_student_epoch(subset);
+        assert_eq!(
+            model.teacher_target_stats(),
+            (3, 3),
+            "epoch 2 must be all stored-target hits"
+        );
+        assert_eq!(
+            model.teacher().frozen_lm().cache_stats(),
+            lm_misses,
+            "a stored-target hit must not reach the LM"
+        );
+    }
+
+    #[test]
+    fn teacher_epoch_invalidates_stored_targets() {
+        let (mut cached, ds) = tiny_model();
+        let (mut oracle, _) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let subset = &train[..4];
+        epoch_against_recompute(&mut cached, &mut oracle, subset);
+        cached.train_teacher_epoch(subset);
+        oracle.train_teacher_epoch(subset);
+        assert_eq!(
+            epoch_against_recompute(&mut cached, &mut oracle, subset),
+            (0, 4)
+        );
+        assert_eq!(
+            epoch_against_recompute(&mut cached, &mut oracle, subset),
+            (4, 0)
+        );
+    }
+
+    #[test]
+    fn checkpoint_load_through_shared_ref_invalidates_stored_targets() {
+        let (mut cached, ds) = tiny_model();
+        let (mut oracle, _) = tiny_model();
+        let (mut other, _) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let subset = &train[..4];
+        epoch_against_recompute(&mut cached, &mut oracle, subset);
+        // `other` ends with the same student but a further-trained teacher,
+        // so loading it changes only teacher weights.
+        other.train_student_epoch(subset);
+        other.train_teacher_epoch(subset);
+        assert_eq!(student_param_bits(&other), student_param_bits(&cached));
+        let blob = crate::save_checkpoint(&other);
+        for m in [&cached, &oracle] {
+            crate::load_checkpoint(m, &mut blob.clone()).unwrap();
+        }
+        assert_eq!(
+            epoch_against_recompute(&mut cached, &mut oracle, subset),
+            (0, 4)
+        );
+    }
+
+    #[test]
+    fn window_changed_in_place_misses_stored_target() {
+        let (mut cached, ds) = tiny_model();
+        let (mut oracle, _) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let subset = &train[..4];
+        epoch_against_recompute(&mut cached, &mut oracle, subset);
+        let shifted: Vec<f32> = subset[2].x.to_vec().iter().map(|v| v + 0.25).collect();
+        subset[2].x.update_data(|d| d.copy_from_slice(&shifted));
+        assert_eq!(
+            epoch_against_recompute(&mut cached, &mut oracle, subset),
+            (3, 1)
+        );
+    }
+
+    #[test]
+    fn digest_collision_misses_stored_target() {
+        // Plant window 0's entry under window 1's digest, as if the two
+        // collided: the full compare must refuse it and recompute.
+        let (mut cached, ds) = tiny_model();
+        let (mut oracle, _) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let subset = &train[..2];
+        epoch_against_recompute(&mut cached, &mut oracle, subset);
+        let digest = |w: &ForecastWindow| window_digest(&w.x.data(), &w.y.data());
+        let entries = &mut cached.targets.entries;
+        let planted = entries.remove(&digest(&subset[0])).unwrap();
+        entries.insert(digest(&subset[1]), planted);
+        assert_eq!(
+            epoch_against_recompute(&mut cached, &mut oracle, subset),
+            (0, 2)
+        );
+    }
+
+    #[test]
+    fn disjoint_window_set_evicts_stored_targets() {
+        let (mut cached, ds) = tiny_model();
+        let (mut oracle, _) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let (first, second) = (&train[..4], &train[4..7]);
+        epoch_against_recompute(&mut cached, &mut oracle, first);
+        assert_eq!(
+            epoch_against_recompute(&mut cached, &mut oracle, second),
+            (0, 3)
+        );
+        let stored = &cached.targets.entries;
+        assert_eq!(stored.len(), second.len());
+        for e in stored.values() {
+            assert!(
+                second
+                    .iter()
+                    .any(|w| same_bits(&e.x, &w.x.data()) && same_bits(&e.y, &w.y.data())),
+                "the store kept a window of the first set"
+            );
+        }
+        assert_eq!(
+            epoch_against_recompute(&mut cached, &mut oracle, first),
+            (0, 4)
+        );
+    }
+
+    #[test]
+    fn reconstruction_is_reported_unscaled_and_weighted_once() {
+        let with_lambda = || {
+            let (mut m, ds) = tiny_model();
+            m.config.lambda_recon = 0.5;
+            m.config.teacher_warmup_epochs = 1;
+            (m, ds)
+        };
+        let (mut joint, ds) = with_lambda();
+        let (mut split, _) = with_lambda();
+        let (probe, _) = with_lambda();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let w = &train[0];
+        let unscaled = timekd_tensor::no_grad(|| {
+            let out = probe.teacher.forward(&w.x, &w.y, &probe.prompts_for(w));
+            smooth_l1_loss(&out.reconstruction, &w.y).item()
+        });
+        let stats = joint.train_epoch_detailed(std::slice::from_ref(w));
+        assert_eq!(stats.reconstruction.to_bits(), unscaled.to_bits());
+        let recon = split.train_teacher_epoch(std::slice::from_ref(w));
+        let student = split.train_student_epoch(std::slice::from_ref(w));
+        assert_eq!(recon.to_bits(), unscaled.to_bits());
+        assert_eq!(
+            stats.total.to_bits(),
+            (student.total + 0.5 * unscaled).to_bits(),
+            "total must carry λ_recon·L_recon exactly once"
+        );
     }
 
     #[test]

@@ -33,10 +33,12 @@ cargo test -q --workspace
 echo "==> batched training determinism suite (planned vs dynamic oracle, thread invariance, zero-alloc replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned epoch must reproduce the
-# dynamic per-window loop bit for bit, and the batched fold must be
-# thread-count invariant.
+# dynamic per-window loop bit for bit, later epochs served from the stored
+# teacher targets must match the recomputing oracle, and the batched fold
+# must be thread-count invariant.
 cargo test -q -p timekd -- --exact \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
+  trainer::tests::planned_epochs_with_stored_targets_are_bitwise_identical_to_oracle \
   trainer::tests::batched_student_epoch_is_thread_invariant_with_uneven_tail \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc

@@ -6,8 +6,9 @@
 //! (`cache=true`) and disabled (`cache=false`):
 //! - epoch 1 runs the teacher warm-up (Algorithm 1) and the first student
 //!   epoch. Every teacher epoch embeds every window's prompts, so this is
-//!   where the arms differ: with the cache, warm-up epochs after the first
-//!   are LM hits; without it, each one re-runs the LM.
+//!   where the arms differ: with the cache, the first warm-up epoch fills
+//!   it on the worker pool and later ones are LM hits; without it, the
+//!   fill does nothing and each epoch re-runs the LM one prompt at a time.
 //! - epochs 2 and 3 are student epochs only. They stage the teacher's
 //!   targets stored by epoch 1 (`TimeKd::teacher_target_stats` counts
 //!   hits), so neither arm calls the LM there and their times should

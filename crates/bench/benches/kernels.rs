@@ -1,6 +1,7 @@
 //! Microbenchmarks of the hot kernels underneath every experiment:
-//! batched matmul, calibrated-LM prompt encoding, subtractive cross
-//! attention, and the full student forward pass.
+//! batched matmul, calibrated-LM prompt encoding and the frozen LM's cold
+//! cache fill, subtractive cross attention, and the full student forward
+//! pass.
 //!
 //! Dependency-free harness: each benchmark is warmed up, then timed over a
 //! fixed iteration budget, reporting the mean wall time per iteration.
@@ -11,7 +12,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use timekd::{SubtractiveCrossAttention, TimeKdConfig};
-use timekd_lm::{pretrain_lm, LmConfig, LmSize, PretrainConfig, PromptTokenizer};
+use timekd_lm::{pretrain_lm, FrozenLm, LmConfig, LmSize, PretrainConfig, PromptTokenizer, Token};
+use timekd_tensor::parallel::{effective_threads, with_threads};
 use timekd_tensor::{no_grad, seeded_rng, Tensor};
 
 /// Times `f` and prints mean ns/iter. Warmup runs are discarded so cold
@@ -65,6 +67,23 @@ fn bench_clm_prompt() {
     bench("clm_last_token_embedding", 20, || {
         no_grad(|| lm.last_token_embedding(black_box(&prompt), true));
     });
+
+    // A cold `FrozenLm::fill` of 64 distinct prompts, serial and on the
+    // pool: the per-epoch cost a teacher pays before its lookups hit.
+    let prompts: Vec<Vec<Token>> = (0..64)
+        .map(|_| timekd_lm::sample_corpus_prompt(&tok, 16, &mut rng))
+        .collect();
+    let frozen = FrozenLm::new(lm);
+    let mut thread_counts = vec![1, effective_threads()];
+    thread_counts.dedup();
+    for threads in thread_counts {
+        bench(&format!("frozen_lm_cold_fill_64_t{threads}"), 10, || {
+            frozen.clear_cache();
+            with_threads(threads, || {
+                frozen.fill(prompts.iter().map(Vec::as_slice), true);
+            });
+        });
+    }
 }
 
 fn bench_sca() {

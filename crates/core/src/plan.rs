@@ -860,6 +860,22 @@ impl PlannedBatchTrainer {
         self.lane_component(w, Some(self.forecast))
     }
 
+    /// True while every bound student tensor is bitwise equal to the
+    /// executor's copy, as [`write_back`](Self::write_back) leaves them.
+    /// A write into the student since then, such as a checkpoint load,
+    /// makes it false.
+    pub(crate) fn params_in_sync(&self) -> bool {
+        self.bound_params.iter().enumerate().all(|(i, p)| {
+            let live = p.data();
+            let bound = self.executor.param_data(i);
+            live.len() == bound.len()
+                && live
+                    .iter()
+                    .zip(bound)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        })
+    }
+
     /// Copies the executor's current parameter values back into the bound
     /// student tensors (the same handles the constructor was given), so
     /// the live model observes the training.

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use timekd_data::WindowPrompts;
-use timekd_lm::FrozenLm;
+use timekd_lm::{FrozenLm, Token};
 use timekd_nn::{Activation, Linear, Module, TransformerEncoder};
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
@@ -78,7 +78,7 @@ impl CrossModalityTeacher {
 
     /// Last-token prompt embeddings `[N, D]` via the frozen CLM + trainable
     /// projection.
-    fn clm_embeddings(&self, prompts: &[Vec<timekd_lm::Token>]) -> Tensor {
+    fn clm_embeddings(&self, prompts: &[Vec<Token>]) -> Tensor {
         let _span = timekd_obs::span("teacher.clm_embed");
         let calibrated = self.config.ablation.calibrated_attention;
         let lm_dim = self.frozen_lm.model().config().dim;
@@ -92,6 +92,34 @@ impl CrossModalityTeacher {
         self.lm_proj.forward(&stacked)
     }
 
+    /// The prompt lists [`forward`](Self::forward) embeds with the frozen
+    /// LM, ground truth first; `None` under `w/o_CLM`.
+    fn lm_prompts<'a>(&self, prompts: &'a WindowPrompts) -> Option<[&'a [Vec<Token>]; 2]> {
+        let ab = self.config.ablation;
+        let gt = if ab.privileged_info {
+            &prompts.ground_truth
+        } else {
+            // w/o_PI: the "traditional teacher" only ever sees history.
+            &prompts.historical
+        };
+        ab.use_clm.then_some([gt, &prompts.historical])
+    }
+
+    /// Embeds every prompt [`forward`](Self::forward) will look up for
+    /// these windows with one [`FrozenLm::fill`], so the forwards that
+    /// follow are all cache hits. Bitwise the same embeddings as letting
+    /// each forward miss in turn.
+    pub(crate) fn fill_lm_cache(&self, windows: &[WindowPrompts]) {
+        let prompts = windows
+            .iter()
+            .filter_map(|w| self.lm_prompts(w))
+            .flatten()
+            .flatten()
+            .map(Vec::as_slice);
+        self.frozen_lm
+            .fill(prompts, self.config.ablation.calibrated_attention);
+    }
+
     /// Teacher forward for one window.
     ///
     /// `x` is the history `[H, N]`, `y` the ground truth `[M, N]`
@@ -102,16 +130,10 @@ impl CrossModalityTeacher {
         let n = x.dims()[1];
         assert_eq!(x.dims()[0], self.input_len, "history length mismatch");
         assert_eq!(y.dims()[0], self.horizon, "horizon mismatch");
-        let (l_gt, l_hd) = if ab.use_clm {
-            let gt_prompts = if ab.privileged_info {
-                &prompts.ground_truth
-            } else {
-                // w/o_PI: the "traditional teacher" only ever sees history.
-                &prompts.historical
-            };
+        let (l_gt, l_hd) = if let Some([gt_prompts, hist_prompts]) = self.lm_prompts(prompts) {
             (
                 self.clm_embeddings(gt_prompts),
-                self.clm_embeddings(&prompts.historical),
+                self.clm_embeddings(hist_prompts),
             )
         } else {
             // w/o_CLM: embed raw value sequences per variable.

@@ -46,7 +46,8 @@ pub struct TimeKd {
     warmup_done: bool,
     /// The batched planned student trainer, built lazily on the first
     /// student epoch and reused for every following one (it owns the
-    /// fused AdamW moment state, so it must survive across epochs).
+    /// fused AdamW moment state, so it must survive across epochs). It is
+    /// rebuilt when the student's weights change under it.
     planned: Option<PlannedBatchTrainer>,
     /// The teacher's distillation targets, stored per window by the
     /// planned student epoch.
@@ -289,17 +290,23 @@ impl TimeKd {
     /// **Algorithm 1**: one pass training the cross-modality teacher on
     /// the reconstruction objective (Eq. 16), scaled by `λ_recon`. Returns
     /// the mean unscaled `L_recon`.
+    ///
+    /// The epoch first fills the frozen LM's cache with every prompt its
+    /// windows look up ([`CrossModalityTeacher::fill_lm_cache`]), so a cold
+    /// epoch runs the LM across the worker pool rather than one prompt at
+    /// a time; once the cache is warm the fill only checks it.
     pub fn train_teacher_epoch(&mut self, windows: &[ForecastWindow]) -> f32 {
         let _span = timekd_obs::span("epoch.teacher");
         assert!(!windows.is_empty(), "no training windows");
         let params = self.teacher.params();
+        let prompts: Vec<WindowPrompts> = windows.iter().map(|w| self.prompts_for(w)).collect();
+        self.teacher.fill_lm_cache(&prompts);
         let mut total = 0.0f32;
-        for w in windows {
+        for (w, prompts) in windows.iter().zip(&prompts) {
             for p in &params {
                 p.zero_grad();
             }
-            let prompts = self.prompts_for(w);
-            let out = self.teacher.forward(&w.x, &w.y, &prompts);
+            let out = self.teacher.forward(&w.x, &w.y, prompts);
             let recon = smooth_l1_loss(&out.reconstruction, &w.y);
             total += recon.item();
             recon.mul_scalar(self.config.lambda_recon).backward();
@@ -329,7 +336,15 @@ impl TimeKd {
         let _span = timekd_obs::span("epoch.student");
         assert!(!windows.is_empty(), "no training windows");
         let batch = self.config.micro_batch.max(1);
-        if self.planned.as_ref().is_some_and(|t| t.batch() != batch) {
+        // A student whose weights no longer match the trainer's copy was
+        // written since the last epoch, e.g. by a checkpoint load: bind a
+        // fresh trainer to it, as a model newly loaded from that checkpoint
+        // gets.
+        if self
+            .planned
+            .as_ref()
+            .is_some_and(|t| t.batch() != batch || !t.params_in_sync())
+        {
             self.planned = None;
         }
         let mut trainer = match self.planned.take() {
@@ -964,6 +979,78 @@ mod tests {
             epoch_against_recompute(&mut cached, &mut oracle, first),
             (0, 4)
         );
+    }
+
+    fn teacher_param_bits(model: &TimeKd) -> Vec<Vec<u32>> {
+        model
+            .teacher
+            .params()
+            .iter()
+            .map(|p| p.to_vec().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn teacher_epochs_with_cache_fill_match_uncached_oracle() {
+        // The oracle runs with the LM cache off, so every lookup is a
+        // sequential forward and the fill does nothing. Filled epochs at
+        // any thread count must train the teacher to the same bits.
+        let (mut oracle, ds) = tiny_model();
+        oracle.teacher.frozen_lm().set_caching(false);
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let subset = &train[..4];
+        let want: Vec<u32> = (0..2)
+            .map(|_| oracle.train_teacher_epoch(subset).to_bits())
+            .collect();
+        let lookups = 2 * subset.len() as u64 * ds.num_vars() as u64;
+        for threads in [1, 2, 5] {
+            let (mut m, _) = tiny_model();
+            let got: Vec<u32> = timekd_tensor::parallel::with_threads(threads, || {
+                (0..2)
+                    .map(|_| m.train_teacher_epoch(subset).to_bits())
+                    .collect()
+            });
+            assert_eq!(got, want, "losses at {threads} threads");
+            assert_eq!(
+                teacher_param_bits(&m),
+                teacher_param_bits(&oracle),
+                "teacher params at {threads} threads"
+            );
+            let lm = m.teacher().frozen_lm();
+            assert_eq!(
+                lm.cache_stats(),
+                (2 * lookups, lm.cache_len() as u64),
+                "one forward per distinct prompt, every lookup a hit"
+            );
+        }
+    }
+
+    #[test]
+    fn student_checkpoint_loaded_between_planned_epochs_is_trained_from() {
+        let (mut live, ds) = tiny_model();
+        let (mut fresh, _) = tiny_model();
+        let (mut other, _) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let subset = &train[..4];
+        // `other` differs from `live` in its student only.
+        other.train_student_epoch(subset);
+        other.train_student_epoch(subset);
+        let blob = crate::save_checkpoint(&other);
+
+        live.train_student_epoch(subset);
+        crate::load_checkpoint(&live, &mut blob.clone()).unwrap();
+        assert_eq!(student_param_bits(&live), student_param_bits(&other));
+        let stats = live.train_student_epoch(subset);
+
+        // A teacher epoch brings `fresh`'s optimizer clock level with
+        // `live`'s without touching its student; the load then replaces
+        // the teacher it trained.
+        fresh.train_teacher_epoch(subset);
+        assert_eq!(fresh.optimizer.steps(), subset.len() as u64);
+        crate::load_checkpoint(&fresh, &mut blob.clone()).unwrap();
+        let want = fresh.train_student_epoch(subset);
+        assert_eq!(epoch_bits(&stats), epoch_bits(&want));
+        assert_eq!(student_param_bits(&live), student_param_bits(&fresh));
     }
 
     #[test]

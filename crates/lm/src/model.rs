@@ -48,6 +48,28 @@ impl CausalLm {
     /// configured Δ; otherwise a plain causal mask is used (the `w/o_CA`
     /// ablation).
     pub fn hidden_states(&self, tokens: &[Token], calibrated: bool) -> Tensor {
+        let (x, mask) = self.prompt_input(tokens, calibrated);
+        self.encoder.forward(&x, Some(&mask)).output
+    }
+
+    /// The last-token embedding `[D]` — the paper's last token extractor:
+    /// under causal masking the final position has attended to the entire
+    /// prompt and summarises it.
+    ///
+    /// Only the last row is computed through the final layer (keys and
+    /// values still cover the whole prompt), so this is bitwise equal to
+    /// the last row of [`hidden_states`](Self::hidden_states) at a fraction
+    /// of its last-layer cost.
+    pub fn last_token_embedding(&self, tokens: &[Token], calibrated: bool) -> Tensor {
+        let (x, mask) = self.prompt_input(tokens, calibrated);
+        self.encoder
+            .forward_last_row(&x, Some(&mask))
+            .reshape([self.config.dim])
+    }
+
+    /// The encoder input `I⁰ = I + PE` (Eq. 1) `[S, D]` and the `[S, S]`
+    /// attention mask for a prompt.
+    fn prompt_input(&self, tokens: &[Token], calibrated: bool) -> (Tensor, Tensor) {
         let s = tokens.len();
         assert!(s > 0, "empty prompt");
         assert!(
@@ -64,16 +86,7 @@ impl CausalLm {
         } else {
             causal_only_mask(s)
         };
-        self.encoder.forward(&x, Some(&mask)).output
-    }
-
-    /// The last-token embedding `[D]` — the paper's last token extractor:
-    /// under causal masking the final position has attended to the entire
-    /// prompt and summarises it.
-    pub fn last_token_embedding(&self, tokens: &[Token], calibrated: bool) -> Tensor {
-        let h = self.hidden_states(tokens, calibrated);
-        let s = tokens.len();
-        h.slice(0, s - 1, 1).reshape([self.config.dim])
+        (x, mask)
     }
 
     /// Runs the LM body over pre-computed *continuous* embeddings `[S, D]`

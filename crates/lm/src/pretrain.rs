@@ -186,6 +186,14 @@ pub struct PretrainReport {
     pub steps: usize,
 }
 
+/// The value-regression input `[1, D]`: the last row of the full hidden
+/// states. Pretraining keeps the whole graph rather than
+/// [`CausalLm::last_token_embedding`]'s last-row pass: the two forwards are
+/// bitwise equal, but the gradients they send back into the LM are not.
+fn value_embedding(lm: &CausalLm, tokens: &[Token]) -> Tensor {
+    lm.hidden_states(tokens, true).slice(0, tokens.len() - 1, 1)
+}
+
 /// Pretrains a fresh LM on the synthetic prompt corpus and returns it
 /// together with a loss report. The returned model should be treated as
 /// frozen by callers (see [`crate::FrozenLm`]).
@@ -217,9 +225,7 @@ pub fn pretrain_lm(
             let mut value_mse = 0.0f32;
             for h in &holdouts {
                 lm_loss += lm.next_token_loss(&h.tokens, true).item();
-                let emb = lm
-                    .last_token_embedding(&h.tokens, true)
-                    .reshape([1, lm_config.dim]);
+                let emb = value_embedding(lm, &h.tokens);
                 let target = Tensor::from_vec(h.future_values.clone(), [1, config.series_len]);
                 value_mse += head.forward(&emb).sub(&target).square().mean().item();
             }
@@ -236,9 +242,7 @@ pub fn pretrain_lm(
             p.zero_grad();
         }
         let lm_loss = lm.next_token_loss(&example.tokens, true);
-        let emb = lm
-            .last_token_embedding(&example.tokens, true)
-            .reshape([1, lm_config.dim]);
+        let emb = value_embedding(&lm, &example.tokens);
         let target = Tensor::from_vec(example.future_values.clone(), [1, config.series_len]);
         let value_loss = value_head.forward(&emb).sub(&target).square().mean();
         let loss = lm_loss.add(&value_loss.mul_scalar(config.value_regression_weight));

@@ -69,25 +69,32 @@ impl SymCausalLm {
     /// The calibrated/causal mask is a constant `[S, S]` leaf either way.
     pub fn hidden_states(&self, seq_len: usize) -> Result<SymbolicTensor, ShapeError> {
         self.ctx.with_label(&self.label, || {
-            let tok = self.tok_table.index_select_rows(seq_len, "S")?;
-            let pos = self.pos_embedding.slice(0, 0, seq_len, "S")?;
-            let x = tok.add(&pos)?;
-            let mask = self.ctx.constant(
-                "mask",
-                vec![SymDim::new("S", seq_len), SymDim::new("S", seq_len)],
-            );
+            let (x, mask) = self.prompt_input(seq_len)?;
             Ok(self.encoder.forward(&x, Some(&mask))?.output)
         })
     }
 
-    /// Mirrors `CausalLm::last_token_embedding`: hidden states, last-row
-    /// slice, reshape to `[lm_dim]`.
+    /// Mirrors `CausalLm::last_token_embedding`: the encoder's last-row
+    /// pass, reshaped to `[lm_dim]`.
     pub fn last_token_embedding(&self, seq_len: usize) -> Result<SymbolicTensor, ShapeError> {
-        let h = self.hidden_states(seq_len)?;
         self.ctx.with_label(&self.label, || {
-            h.slice(0, seq_len - 1, 1, "last")?
+            let (x, mask) = self.prompt_input(seq_len)?;
+            self.encoder
+                .forward_last_row(&x, Some(&mask))?
                 .reshape(vec![SymDim::new("lm_dim", self.config.dim)])
         })
+    }
+
+    /// Mirrors `CausalLm::prompt_input`: `I⁰ = I + PE` and the mask leaf.
+    fn prompt_input(&self, seq_len: usize) -> Result<(SymbolicTensor, SymbolicTensor), ShapeError> {
+        let tok = self.tok_table.index_select_rows(seq_len, "S")?;
+        let pos = self.pos_embedding.slice(0, 0, seq_len, "S")?;
+        let x = tok.add(&pos)?;
+        let mask = self.ctx.constant(
+            "mask",
+            vec![SymDim::new("S", seq_len), SymDim::new("S", seq_len)],
+        );
+        Ok((x, mask))
     }
 }
 

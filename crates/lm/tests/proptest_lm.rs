@@ -161,3 +161,41 @@ fn lm_prefix_embeddings_stable_under_suffix_edits() {
         }
     }
 }
+
+#[test]
+fn last_token_embedding_is_bitwise_last_hidden_row() {
+    // The last-row pass through the final layer is an oracle-checked
+    // shortcut: for every backbone size, every prompt length from 1 (the
+    // only row is the last) to 80, and either mask, it must equal the last
+    // row of the full hidden states bit for bit.
+    let tok = PromptTokenizer::new();
+    for (i, size) in [LmSize::Small, LmSize::Base, LmSize::Large]
+        .into_iter()
+        .enumerate()
+    {
+        let mut rng = seeded_rng(100 + i as u64);
+        let lm = CausalLm::new(tok.vocab_size(), LmConfig::for_size(size), &mut rng);
+        let d = lm.config().dim;
+        for len in 1usize..=80 {
+            let tokens: Vec<_> = (0..len)
+                .map(|_| {
+                    if rng.gen::<f32>() < 0.5 {
+                        tok.word("values")
+                    } else {
+                        tok.number(rng.gen_range(-6.0f32..6.0))[0]
+                    }
+                })
+                .collect();
+            for calibrated in [true, false] {
+                let full = lm.hidden_states(&tokens, calibrated).to_vec();
+                let last = lm.last_token_embedding(&tokens, calibrated).to_vec();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&last),
+                    bits(&full[(len - 1) * d..]),
+                    "{size:?}, length {len}, calibrated {calibrated}"
+                );
+            }
+        }
+    }
+}

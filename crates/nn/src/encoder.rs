@@ -98,8 +98,36 @@ impl EncoderLayer {
 
     /// Applies the layer; returns the output and this layer's attention map.
     pub fn forward(&self, x: &Tensor, mask: Option<&Tensor>) -> (Tensor, Tensor) {
-        let attended = self.attn.forward(&self.ln1.forward(x), mask);
-        let y = attended.output.add(x);
+        let h = self.ln1.forward(x);
+        self.residual_block(x, &h, &h, mask)
+    }
+
+    /// The layer's output `[1, D]` for the last row of `x` `[T, D]` only.
+    ///
+    /// Keys and values still span every row; the query, residual, FFN and
+    /// `mask` (`[T, T]`, of which the last row is used) cover the last
+    /// row. Every other op is row-wise, so the result is bitwise equal to
+    /// the last row of [`forward`](Self::forward)'s output.
+    pub(crate) fn forward_last_row(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
+        let last = x.dims()[0] - 1;
+        let h = self.ln1.forward(x);
+        let mask = mask.map(|m| m.slice(0, last, 1));
+        let (x_q, h_q) = (x.slice(0, last, 1), h.slice(0, last, 1));
+        self.residual_block(&x_q, &h_q, &h, mask.as_ref()).0
+    }
+
+    /// `y = x_q + Att(h_q, h_kv)`, `z = y + FFN(LN(y))` for query rows
+    /// `x_q` whose pre-norm is `h_q`, attending over the pre-normed rows
+    /// `h_kv`.
+    fn residual_block(
+        &self,
+        x_q: &Tensor,
+        h_q: &Tensor,
+        h_kv: &Tensor,
+        mask: Option<&Tensor>,
+    ) -> (Tensor, Tensor) {
+        let attended = self.attn.attend(h_q, h_kv, mask);
+        let y = attended.output.add(x_q);
         let z = self.ffn.forward(&self.ln2.forward(&y)).add(&y);
         (z, attended.attention)
     }
@@ -162,6 +190,19 @@ impl TransformerEncoder {
         }
     }
 
+    /// The encoded last row `[1, D]` of `x`: every layer but the last
+    /// runs in full, the last one for its last row only
+    /// ([`EncoderLayer::forward_last_row`]). Bitwise equal to the last row
+    /// of [`forward`](Self::forward)'s output.
+    pub fn forward_last_row(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
+        let _span = timekd_obs::span("nn.encoder");
+        let (last, body) = self.layers.split_last().expect("at least one layer");
+        let h = body
+            .iter()
+            .fold(x.clone(), |h, layer| layer.forward(&h, mask).0);
+        self.final_ln.forward(&last.forward_last_row(&h, mask))
+    }
+
     /// Model width.
     pub fn dim(&self) -> usize {
         self.dim
@@ -205,6 +246,23 @@ mod tests {
         let out = enc.forward(&x, None);
         assert_eq!(out.output.dims(), &[6, 8]);
         assert_eq!(out.last_attention.dims(), &[6, 6]);
+    }
+
+    #[test]
+    fn last_row_pass_is_bitwise_last_row_of_forward() {
+        let mut rng = seeded_rng(6);
+        let enc = TransformerEncoder::new(8, 3, 2, 16, Activation::Relu, &mut rng);
+        for t in [1, 2, 7] {
+            let x = Tensor::randn([t, 8], 1.0, &mut rng);
+            let mask = crate::attention::causal_mask(t);
+            for m in [None, Some(&mask)] {
+                let full = enc.forward(&x, m).output.to_vec();
+                let last = enc.forward_last_row(&x, m);
+                assert_eq!(last.dims(), &[1, 8]);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&last.to_vec()), bits(&full[(t - 1) * 8..]), "t = {t}");
+            }
+        }
     }
 
     #[test]

@@ -346,9 +346,41 @@ impl SymEncoderLayer {
         x: &SymbolicTensor,
         mask: Option<&SymbolicTensor>,
     ) -> Result<(SymbolicTensor, SymbolicTensor), ShapeError> {
-        let attended = self.attn.forward(&self.ln1.forward(x)?, mask)?;
+        let h = self.ln1.forward(x)?;
+        self.residual_block(x, &h, &h, mask)
+    }
+
+    /// Mirrors `EncoderLayer::forward_last_row`: the output `[1, D]` for
+    /// the last row of `x`, keys and values over every row.
+    pub(crate) fn forward_last_row(
+        &self,
+        x: &SymbolicTensor,
+        mask: Option<&SymbolicTensor>,
+    ) -> SymResult {
+        let last = x.sizes()[0] - 1;
+        let h = self.ln1.forward(x)?;
+        let (x_q, h_q, mask) = self.ctx.with_label(&self.label, || {
+            let mask = mask.map(|m| m.slice(0, last, 1, "last")).transpose()?;
+            Ok((
+                x.slice(0, last, 1, "last")?,
+                h.slice(0, last, 1, "last")?,
+                mask,
+            ))
+        })?;
+        Ok(self.residual_block(&x_q, &h_q, &h, mask.as_ref())?.0)
+    }
+
+    /// Mirrors `EncoderLayer::residual_block`.
+    fn residual_block(
+        &self,
+        x_q: &SymbolicTensor,
+        h_q: &SymbolicTensor,
+        h_kv: &SymbolicTensor,
+        mask: Option<&SymbolicTensor>,
+    ) -> Result<(SymbolicTensor, SymbolicTensor), ShapeError> {
+        let attended = self.attn.attend(h_q, h_kv, mask)?;
         self.ctx.with_label(&self.label, || {
-            let y = attended.output.add(x)?;
+            let y = attended.output.add(x_q)?;
             let z = self.ffn.forward(&self.ln2.forward(&y)?)?.add(&y)?;
             Ok((z, attended.attention))
         })
@@ -442,6 +474,16 @@ impl SymTransformerEncoder {
             output: self.final_ln.forward(&h)?,
             last_attention: last_attention.expect("at least one layer"),
         })
+    }
+
+    /// Mirrors `TransformerEncoder::forward_last_row`.
+    pub fn forward_last_row(&self, x: &SymbolicTensor, mask: Option<&SymbolicTensor>) -> SymResult {
+        let (last, body) = self.layers.split_last().expect("at least one layer");
+        let mut h = x.clone();
+        for layer in body {
+            h = layer.forward(&h, mask)?.0;
+        }
+        self.final_ln.forward(&last.forward_last_row(&h, mask)?)
     }
 }
 

@@ -362,8 +362,10 @@ impl Drop for JobGuard<'_> {
 ///
 /// Falls back to a plain serial loop when the effective thread count is 1,
 /// when there is at most one task, or when called from inside another
-/// parallel region (nested parallelism runs serially by design).
-pub(crate) fn parallel_for<F: Fn(usize) + Sync>(total: usize, task: F) {
+/// parallel region (nested parallelism runs serially by design). Kernels
+/// called inside a task run serially. Besides the kernels, coarse jobs
+/// outside this crate use it directly, such as the frozen LM's cache fill.
+pub fn parallel_for<F: Fn(usize) + Sync>(total: usize, task: F) {
     let threads = effective_threads();
     if total <= 1 || threads <= 1 || in_parallel_region() {
         timekd_obs::POOL_SERIAL_FALLBACK.add(1);

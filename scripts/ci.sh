@@ -35,12 +35,21 @@ echo "==> batched training determinism suite (planned vs dynamic oracle, thread 
 # run can never silently drop them: the planned epoch must reproduce the
 # dynamic per-window loop bit for bit, later epochs served from the stored
 # teacher targets must match the recomputing oracle, and the batched fold
-# must be thread-count invariant.
+# must be thread-count invariant. The frozen LM's parallel cache fill must
+# match sequential embeds at any thread or shard count, teacher epochs that
+# use it must match the uncached oracle, and its last-row pass must match
+# the full hidden states.
 cargo test -q -p timekd -- --exact \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
   trainer::tests::planned_epochs_with_stored_targets_are_bitwise_identical_to_oracle \
   trainer::tests::batched_student_epoch_is_thread_invariant_with_uneven_tail \
+  trainer::tests::teacher_epochs_with_cache_fill_match_uncached_oracle \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
+cargo test -q -p timekd-lm --lib -- --exact \
+  frozen::tests::fill_matches_sequential_embeds_at_any_thread_count \
+  frozen::tests::replica_shards_match_the_wrapped_model
+cargo test -q -p timekd-lm --test proptest_lm -- --exact \
+  last_token_embedding_is_bitwise_last_hidden_row
 cargo test -q -p timekd-bench --test planned_alloc
 
 echo "==> serving integration suite (bitwise parity, hot-swap under load, registry faults)"

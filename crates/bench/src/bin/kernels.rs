@@ -1,10 +1,9 @@
 //! Kernel + end-to-end perf baseline runner.
 //!
 //! Measures the hot matmul kernels (forward and backward) serial vs
-//! parallel, the f32x8 SIMD kernels against the `TIMEKD_SIMD=off` scalar
-//! fallback (`speedup_simd_vs_scalar`), a naive-kernel reference (the
-//! pre-optimisation triple loop with the `a_ik == 0.0` skip, kept here so
-//! the register-blocking win stays measurable), the int8-quantized
+//! parallel, the f32x8 microkernels against a naive-kernel reference (the
+//! pre-optimisation triple loop with the `a_ik == 0.0` skip, kept here as
+//! the baseline so the microkernel win stays measurable), the int8-quantized
 //! compiled student against the f32 plan (accuracy-gated: the run exits
 //! non-zero if the quantized forecast drifts past the stated MSE bound),
 //! the fused attention kernel against the composed op
@@ -55,7 +54,7 @@ use timekd_data::{DatasetKind, SplitDataset};
 use timekd_lm::LmSize;
 use timekd_nn::{smooth_l1_loss, AdamW, AdamWConfig, Module};
 use timekd_tensor::parallel::{configured_threads, with_threads};
-use timekd_tensor::{no_grad, seeded_rng, with_simd, BatchTrainExecutor, PlanOptimizer, Tensor};
+use timekd_tensor::{no_grad, seeded_rng, BatchTrainExecutor, PlanOptimizer, Tensor};
 
 /// Minimum wall time of `f` in milliseconds over `iters` runs (after one
 /// warmup run). Minimum, not mean: scheduling noise only ever adds time.
@@ -352,12 +351,6 @@ fn bench_shape(spec: &ShapeSpec, threads: usize) -> Json {
     let fwd = |_: ()| no_grad(|| std::hint::black_box(&a).matmul(std::hint::black_box(&b)));
     let serial_ms = with_threads(1, || time_min_ms(iters, || drop(fwd(()))));
     let parallel_ms = with_threads(threads, || time_min_ms(iters, || drop(fwd(()))));
-    // Scalar-fallback reference (`TIMEKD_SIMD=off`): same serial path
-    // through the pre-SIMD 4-wide kernels, so `speedup_simd_vs_scalar`
-    // isolates what the f32x8 microkernels buy.
-    let serial_scalar_ms = with_simd(false, || {
-        with_threads(1, || time_min_ms(iters, || drop(fwd(()))))
-    });
 
     // Naive reference runs on the raw buffers (per batch for 3-D shapes).
     let (av, bv) = (a.to_vec(), b.to_vec());
@@ -406,11 +399,6 @@ fn bench_shape(spec: &ShapeSpec, threads: usize) -> Json {
         ("n", Json::num(n as f64)),
         ("iters", Json::num(f64::from(iters))),
         ("serial_ms", Json::num(serial_ms)),
-        ("serial_scalar_ms", Json::num(serial_scalar_ms)),
-        (
-            "speedup_simd_vs_scalar",
-            Json::num(serial_scalar_ms / serial_ms),
-        ),
         ("parallel_ms", Json::num(parallel_ms)),
         ("speedup_parallel", Json::num(serial_ms / parallel_ms)),
         ("gflops_serial", Json::num(gflops(serial_ms))),
@@ -1155,7 +1143,7 @@ fn main() {
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let doc = Json::obj(vec![
-        ("schema", Json::str("timekd-kernel-bench/v7")),
+        ("schema", Json::str("timekd-kernel-bench/v8")),
         ("created_unix_s", Json::num(created as f64)),
         ("quick", Json::Bool(quick)),
         (
@@ -1183,6 +1171,11 @@ fn main() {
                      harness (real TCP clients against a registry-booted server); latency \
                      quantiles are read back from the server's own /metrics histograms, \
                      not measured client-side",
+                ),
+                Json::str(
+                    "v8: kernel rows drop serial_scalar_ms and speedup_simd_vs_scalar, since \
+                     every kernel now has one pinned order and no scalar fallback; naive_ms \
+                     stays the baseline column",
                 ),
             ]),
         ),

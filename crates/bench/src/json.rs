@@ -7,7 +7,7 @@
 
 pub use timekd_obs::json::Json;
 
-/// Checks a parsed document against the `timekd-kernel-bench/v7` schema
+/// Checks a parsed document against the `timekd-kernel-bench/v8` schema
 /// emitted by `cargo run -p timekd-bench --bin kernels`. Returns every
 /// problem found (not just the first) so a broken baseline is diagnosable
 /// in one pass.
@@ -155,9 +155,9 @@ pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
     }
 
     match doc.get("schema").map(Json::as_str) {
-        Some(Some("timekd-kernel-bench/v7")) => {}
+        Some(Some("timekd-kernel-bench/v8")) => {}
         Some(other) => problems.push(format!(
-            "`schema` must be \"timekd-kernel-bench/v7\", got {other:?}"
+            "`schema` must be \"timekd-kernel-bench/v8\", got {other:?}"
         )),
         None => problems.push("missing key `schema`".to_string()),
     }
@@ -192,8 +192,6 @@ pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
                     "batch",
                     "iters",
                     "serial_ms",
-                    "serial_scalar_ms",
-                    "speedup_simd_vs_scalar",
                     "parallel_ms",
                     "speedup_parallel",
                     "gflops_serial",
@@ -268,8 +266,6 @@ mod tests {
             "batch",
             "iters",
             "serial_ms",
-            "serial_scalar_ms",
-            "speedup_simd_vs_scalar",
             "parallel_ms",
             "speedup_parallel",
             "gflops_serial",
@@ -384,7 +380,7 @@ mod tests {
         let serving_row: Vec<(&str, Json)> =
             serving_keys.iter().map(|k| (*k, Json::num(1.0))).collect();
         Json::obj(vec![
-            ("schema", Json::str("timekd-kernel-bench/v7")),
+            ("schema", Json::str("timekd-kernel-bench/v8")),
             (
                 "notes",
                 Json::Arr(vec![Json::str("partition-granularity fix")]),
@@ -583,13 +579,14 @@ mod tests {
 
     #[test]
     fn validator_rejects_stale_schema_strings() {
-        // The schema bump is load-bearing: an old v3..v6 baseline must be
+        // The schema bump is load-bearing: an old v3..v7 baseline must be
         // rejected by name even if it were otherwise field-complete.
         for stale in [
             "timekd-kernel-bench/v3",
             "timekd-kernel-bench/v4",
             "timekd-kernel-bench/v5",
             "timekd-kernel-bench/v6",
+            "timekd-kernel-bench/v7",
         ] {
             let mut doc = minimal_valid_doc();
             if let Json::Obj(pairs) = &mut doc {
@@ -599,7 +596,7 @@ mod tests {
             }
             let problems = validate_kernel_bench(&doc).expect_err("must fail");
             assert_eq!(problems.len(), 1, "{stale}: {problems:?}");
-            assert!(problems[0].contains("timekd-kernel-bench/v7"), "{stale}");
+            assert!(problems[0].contains("timekd-kernel-bench/v8"), "{stale}");
         }
     }
 
@@ -737,33 +734,6 @@ mod tests {
         }
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems, vec!["`notes[0]` must be a string".to_string()]);
-    }
-
-    #[test]
-    fn validator_rejects_incomplete_simd_kernel_row() {
-        // v5 gate on the per-shape rows: the simd-vs-scalar columns are
-        // mandatory, so a v4-era row fails by key name.
-        let mut doc = minimal_valid_doc();
-        if let Some(Json::Arr(rows)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "kernels")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Json::Obj(row) = &mut rows[0] {
-                row.retain(|(k, _)| k != "serial_scalar_ms" && k != "speedup_simd_vs_scalar");
-            }
-        }
-        let problems = validate_kernel_bench(&doc).expect_err("must fail");
-        assert_eq!(problems.len(), 2, "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("serial_scalar_ms")));
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("speedup_simd_vs_scalar")),
-            "{problems:?}"
-        );
     }
 
     #[test]

@@ -580,7 +580,7 @@ fn simd_lane_loop_rules_trip_on_exact_lines() {
     // dot_lanes trip the worker rules, the `.collect()` inside
     // qmm_row_block (line 15) trips the alloc rule, and the unwrap/expect
     // (lines 10, 25) and Instant::now (line 24) trip the kernel rules —
-    // even in simd_enabled_cached, which is not a worker fn.
+    // even in the fixture's last fn, which is not a worker fn.
     let vs = scan_source("crates/tensor/src/simd.rs", &fixture("bad_simd.rs"));
     let of_rule = |rule: &str| -> Vec<usize> {
         vs.iter()

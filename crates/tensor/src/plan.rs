@@ -1152,9 +1152,6 @@ pub struct PlanExecutor {
     /// All-zero `v` operand for `AttentionMap` steps (the kernel packs a
     /// value matrix unconditionally; the map does not depend on it).
     attn_zero_v: Vec<f32>,
-    /// SIMD mode, resolved once at construction (reading the env may
-    /// allocate; the plan loop must not).
-    pub(crate) simd: bool,
     /// Weights quantized at bind time for `QuantMatmul` steps (int8
     /// plans only; empty otherwise).
     qweights: Vec<QuantizedMatrix>,
@@ -1447,9 +1444,6 @@ impl PlanExecutor {
             attn_stats: vec![0.0f32; 2 * st_len],
             attn_out_sink: vec![0.0f32; out_sink_len],
             attn_zero_v: vec![0.0f32; zero_v_len],
-            // Resolved once here: the first env read may allocate, and the
-            // plan loop must stay allocation-free.
-            simd: crate::simd::simd_enabled(),
             qweights,
             q_codes: vec![0i8; qx_len],
             q_scales: vec![0.0f32; qs_len],
@@ -1508,7 +1502,6 @@ impl PlanExecutor {
         let params = &self.params;
         let target = &self.target;
         let aux = &self.aux;
-        let simd = self.simd;
         for step in &self.exec {
             // SAFETY: `arena` is allocated to `plan.arena_len()` and every
             // `Loc::Arena` range was bounds-checked at construction; the
@@ -1609,7 +1602,7 @@ impl PlanExecutor {
                 }
                 ExecOp::Matmul { m, k, n } => {
                     out.fill(0.0);
-                    mm_row_block(src(0), src(1), out, 0, *m, *k, *n, simd);
+                    mm_row_block(src(0), src(1), out, 0, *m, *k, *n);
                 }
                 ExecOp::QuantMatmul { m, k, n, w } => {
                     let (m, k, n) = (*m, *k, *n);
@@ -1689,7 +1682,6 @@ impl PlanExecutor {
                         *tk,
                         *dh,
                         *scale,
-                        simd,
                     );
                 }
                 ExecOp::AttentionMap {
@@ -1722,7 +1714,6 @@ impl PlanExecutor {
                         *tk,
                         *dh,
                         *scale,
-                        simd,
                     );
                 }
                 ExecOp::ColMean { t, n } => {

@@ -1190,7 +1190,6 @@ impl TrainExecutor {
         let params = &fwd.params;
         let target = &fwd.target;
         let aux = &fwd.aux;
-        let simd = fwd.simd;
         let arena = &mut fwd.arena;
         for step in bwd.iter() {
             {
@@ -1337,7 +1336,7 @@ impl TrainExecutor {
                             // serial path.
                             let b = resolve(step.srcs[1], arena_r, params, input, target, aux);
                             sa.fill(0.0);
-                            mm_nt_row_block(g, b, sa, 0, *m, *n, *k, simd);
+                            mm_nt_row_block(g, b, sa, 0, *m, *n, *k);
                         }
                         if wb {
                             // dB = Aᵀ · g via the same packed-transpose +
@@ -1346,7 +1345,7 @@ impl TrainExecutor {
                             let at = &mut at_buf[..m * k];
                             pack_transpose_into(a, at, *m, *k);
                             sb.fill(0.0);
-                            mm_row_block(at, g, sb, 0, *k, *m, *n, simd);
+                            mm_row_block(at, g, sb, 0, *k, *m, *n);
                         }
                     }
                     BwdExecOp::PermuteInv { strides, dims } => {
@@ -1414,7 +1413,6 @@ impl TrainExecutor {
                             *tk,
                             *dh,
                             *scale,
-                            simd,
                         );
                         // Pass A: dQ plus the saved P/dS row maps, one
                         // full-range block per head (bitwise equal to any
@@ -1442,7 +1440,6 @@ impl TrainExecutor {
                                 *tk,
                                 *dh,
                                 *scale,
-                                simd,
                             );
                         }
                         // Pass B: dK/dV from the saved row maps.
@@ -1463,7 +1460,6 @@ impl TrainExecutor {
                                 *tq,
                                 *tk,
                                 *dh,
-                                simd,
                             );
                         }
                     }
@@ -1510,7 +1506,6 @@ impl TrainExecutor {
                             *tk,
                             *dh,
                             *scale,
-                            simd,
                         );
                         for h in 0..*heads {
                             attn_bwd_dq_block(
@@ -1535,7 +1530,6 @@ impl TrainExecutor {
                                 *tk,
                                 *dh,
                                 *scale,
-                                simd,
                             );
                         }
                         for h in 0..*heads {
@@ -1555,7 +1549,6 @@ impl TrainExecutor {
                                 *tq,
                                 *tk,
                                 *dh,
-                                simd,
                             );
                         }
                     }

@@ -38,7 +38,9 @@ echo "==> batched training determinism suite (planned vs dynamic oracle, thread 
 # must be thread-count invariant. The frozen LM's parallel cache fill must
 # match sequential embeds at any thread or shard count, teacher epochs that
 # use it must match the uncached oracle, and its last-row pass must match
-# the full hidden states.
+# the full hidden states. Every matmul and attention kernel must match the
+# scalar restatement of its one pinned f32x8 reduction order at any thread
+# count, and `fmadd` must round once exactly when the build has FMA.
 cargo test -q -p timekd -- --exact \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
   trainer::tests::planned_epochs_with_stored_targets_are_bitwise_identical_to_oracle \
@@ -51,6 +53,9 @@ cargo test -q -p timekd-lm --lib -- --exact \
 cargo test -q -p timekd-lm --test proptest_lm -- --exact \
   last_token_embedding_is_bitwise_last_hidden_row
 cargo test -q -p timekd-bench --test planned_alloc
+cargo test -q -p timekd-tensor --test simd_equivalence
+cargo test -q -p timekd-tensor --lib -- --exact \
+  simd::tests::fmadd_rounds_once_exactly_when_the_build_has_fma
 
 echo "==> serving integration suite (bitwise parity, hot-swap under load, registry faults)"
 # Same rationale as the determinism gates: re-run the serving contract
@@ -60,12 +65,6 @@ cargo test -q -p timekd-serve --test registry_faults
 
 echo "==> benchmark unit tests (output checks that reject a flipped forecast bit)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
-
-echo "==> tensor tests under the scalar fallback (TIMEKD_SIMD=off)"
-# The f32x8 microkernels ship with a scalar fallback pinned to its own
-# reduction order; run the tensor suite once in that mode so the fallback
-# (and its determinism contract) stays green.
-TIMEKD_SIMD=off cargo test -q -p timekd-tensor
 
 echo "==> bench smoke (QUICK kernel bench + schema validation)"
 # Explicit propagation: a validator failure inside the smoke must fail CI
